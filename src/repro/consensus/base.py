@@ -34,6 +34,18 @@ class ConsensusHost(Protocol):
         event handle (cancellable)."""
         ...
 
+    def reserve_timer(self, delay: float) -> tuple[float, int]:
+        """Claim the slot a timer set now with ``delay`` would take,
+        without setting one."""
+        ...
+
+    def set_timer_at(
+        self, slot: tuple[float, int], fn: Any, *args: Any
+    ) -> Event:
+        """Like :meth:`set_timer`, under a slot from :meth:`reserve_timer`:
+        fires exactly where a timer set at the claim would have."""
+        ...
+
     def send_to(
         self, recipient: str, kind: str, payload: Any, size_bytes: int
     ) -> None:

@@ -104,13 +104,23 @@ class PBFT(ConsensusProtocol):
         self.view = 0
         self.last_executed = 0
         self.log: dict[int, _LogEntry] = {}
+        #: Entries of ``log`` not yet executed, kept exact so the has-work
+        #: test need not scan a log that holds every executed entry.
+        self._unexecuted = 0
         self.in_flight = False
         self._running = False
         self._view_change_votes: dict[int, set[str]] = {}
         self._view_changing = False
         self._pending_new_view: int | None = None
+        # One pending no-progress watchdog per replica. Each arm moves
+        # the deadline and reserves the slot its own timer would have
+        # had; the watchdog re-queues itself at those slots, so its
+        # checks run exactly where one timer per arm ran them (see
+        # _on_watchdog).
         self._progress_timer = None
         self._progress_deadline = 0.0
+        #: Slot sequence numbers of the arms made for _progress_deadline.
+        self._progress_seqs: list[int] = []
         # Statistics surfaced in experiment reports.
         self.view_changes_started = 0
         self.views_entered = 0
@@ -154,6 +164,9 @@ class PBFT(ConsensusProtocol):
     def stop(self) -> None:
         """Stop participating (crash injection)."""
         self._running = False
+        if self._progress_timer is not None:
+            self._progress_timer.cancel()
+            self._progress_timer = None
 
     def restart(self, height: int, view_hint: int = 0) -> None:
         """Rejoin after crash recovery: adopt the synced chain position
@@ -177,12 +190,14 @@ class PBFT(ConsensusProtocol):
             seq: entry for seq, entry in self.log.items()
             if entry.executed and seq <= self.last_executed
         }
+        self._unexecuted = 0
         self._view_change_votes = {
             view: votes
             for view, votes in self._view_change_votes.items()
             if view > self.view
         }
         self._progress_deadline = 0.0
+        self._progress_seqs = []
         self.start()
         self._arm_progress_timer()
 
@@ -265,6 +280,8 @@ class PBFT(ConsensusProtocol):
     def _entry(self, seq: int, view: int) -> _LogEntry:
         entry = self.log.get(seq)
         if entry is None or entry.view != view:
+            if entry is None or entry.executed:
+                self._unexecuted += 1
             entry = _LogEntry(view=view)
             self.log[seq] = entry
         return entry
@@ -351,6 +368,7 @@ class PBFT(ConsensusProtocol):
             ):
                 return
             entry.executed = True
+            self._unexecuted -= 1
             self.last_executed += 1
             self.batches_committed += 1
             self.host.deliver_block(entry.block)
@@ -364,26 +382,46 @@ class PBFT(ConsensusProtocol):
     # ------------------------------------------------------------------
     def _arm_progress_timer(self) -> None:
         """(Re)arm the no-progress watchdog while work is outstanding."""
-        if not self._running:
+        if not self._running or not self._has_work():
             return
-        has_work = self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
-        if not has_work:
-            return
-        deadline = self.host.now + self.config.view_timeout
-        self._progress_deadline = deadline
-        self.host.set_timer(self.config.view_timeout, self._progress_check, deadline)
+        deadline, seq = self.host.reserve_timer(self.config.view_timeout)
+        if deadline > self._progress_deadline:
+            self._progress_deadline = deadline
+            self._progress_seqs = [seq]
+        else:  # armed twice at one instant
+            self._progress_seqs.append(seq)
+        if self._progress_timer is None:
+            self._set_watchdog(deadline, seq)
 
-    def _progress_check(self, deadline: float) -> None:
+    def _set_watchdog(self, deadline: float, seq: int) -> None:
+        self._progress_timer = self.host.set_timer_at(
+            (deadline, seq), self._on_watchdog, deadline, seq
+        )
+
+    def _on_watchdog(self, deadline: float, seq: int) -> None:
+        """Fire one watchdog slot, then queue the next one that acts.
+
+        With one timer per arm, a timer whose deadline is older than the
+        latest one returns without effect, and every timer armed for the
+        latest deadline runs the check. So the watchdog skips straight
+        to the latest deadline's first slot, and from each of its slots
+        to the next.
+        """
+        self._progress_timer = None
+        seqs = self._progress_seqs
+        if deadline < self._progress_deadline:
+            self._set_watchdog(self._progress_deadline, seqs[0])
+            return
+        index = seqs.index(seq) + 1
+        if index < len(seqs):
+            self._set_watchdog(deadline, seqs[index])
+        self._progress_check()
+
+    def _progress_check(self) -> None:
+        """No progress by the latest armed deadline: suspect the primary."""
         if not self._running or self._view_changing:
             return
-        if self._progress_deadline > deadline:
-            return  # progress happened; a newer timer is armed
-        has_work = self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
-        if has_work:
+        if self._has_work():
             self._start_view_change(self.view + 1)
 
     def _start_view_change(self, new_view: int) -> None:
@@ -420,9 +458,7 @@ class PBFT(ConsensusProtocol):
         self._start_view_change(attempted_view + 1)
 
     def _has_work(self) -> bool:
-        return self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
+        return self.host.pending_count() > 0 or self._unexecuted > 0
 
     def _on_view_change(self, payload: dict, sender: str) -> None:
         new_view = payload["new_view"]
@@ -482,6 +518,9 @@ class PBFT(ConsensusProtocol):
             for seq, entry in self.log.items()
             if entry.executed or entry.view >= new_view
         }
+        self._unexecuted = sum(
+            not entry.executed for entry in self.log.values()
+        )
         self._view_change_votes = {
             view: votes
             for view, votes in self._view_change_votes.items()

@@ -766,10 +766,9 @@ class PlatformNode(SimNode):
             return
         accepted = self.mempool.add(tx, self.now)
         if accepted:
+            size = tx.size_bytes()
             for peer in self.peers:
-                self.network.send(
-                    self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes()
-                )
+                self.network.send(self.node_id, peer, TX_GOSSIP, tx, size)
             # Serializing one copy per peer is sender-side CPU work that
             # grows with cluster size (O(N) per admitted transaction).
             self._charge(

@@ -156,9 +156,9 @@ class EthereumNode(PlatformNode):
             return
         accepted = self.mempool.add(tx, self.now)
         if accepted:
-            fanout = self._gossip_targets(tx)
-            for peer in fanout:
-                self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
+            size = tx.size_bytes()
+            for peer in self._gossip_targets(tx):
+                self.network.send(self.node_id, peer, TX_GOSSIP, tx, size)
             if self.protocol is not None:
                 self.protocol.on_new_pending_tx()
         else:

@@ -247,8 +247,9 @@ class ParityNode(PlatformNode):
         self.signed_count += 1
         accepted = self.mempool.add(tx, self.now)
         if accepted:
+            size = tx.size_bytes()
             for peer in self.peers:
-                self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
+                self.network.send(self.node_id, peer, TX_GOSSIP, tx, size)
             if self.protocol is not None:
                 self.protocol.on_new_pending_tx()
         reply = {"accepted": accepted, "tx_id": tx.tx_id, "req_id": item["req_id"]}

@@ -19,6 +19,10 @@ never the layer being measured (the ISSUE 6 scale work):
 * :meth:`Scheduler.push_many` bulk-schedules a batch of timers with one
   ``heapify`` instead of N ``heappush`` calls — the entry point the
   open-loop arrival pump uses to pre-schedule a chunk of arrivals.
+* :meth:`Scheduler.run_soon` skips the queue altogether for a ``0.0``
+  hand-off made as the last act of an event when nothing else is due
+  at the current instant: that hand-off would be the very next event
+  dispatched, so running it inline keeps the order.
 """
 
 from __future__ import annotations
@@ -99,6 +103,9 @@ class Scheduler:
         # sizes minus this, so the hot dispatch path maintains no
         # separate live counter.
         self._cancelled = 0
+        # False while a run_soon callback runs inline: a nested call
+        # queues instead, so inline hand-offs never stack up.
+        self._may_inline = True
 
     def schedule(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -126,6 +133,61 @@ class Scheduler:
         else:
             heapq.heappush(self._queue, (when, seq, event))
         return event
+
+    def reserve(self, delay: SimTime) -> tuple[SimTime, int]:
+        """Claim the ``(time, seq)`` key ``schedule(delay, ...)`` would
+        give an event now, without queuing anything.
+
+        :meth:`schedule_reserved` queues a callback under the key later;
+        it then fires exactly where one scheduled now would have, ties
+        at the same instant included. A timer whose deadline keeps
+        moving (a no-progress watchdog) reserves a key per move and
+        keeps one queued event instead of one per move.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        self._seq = seq = self._seq + 1
+        return self.now + delay, seq
+
+    def schedule_reserved(
+        self, key: tuple[SimTime, int], fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``fn(*args)`` under a key claimed by :meth:`reserve`."""
+        when, seq = key
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule at {when:.6f}s; current time is {self.now:.6f}s"
+            )
+        event = Event(fn, args, self)
+        # Always the heap, even at the current instant: the run queue
+        # must stay in seq order, and an old seq belongs before it.
+        heapq.heappush(self._queue, (when, seq, event))
+        return event
+
+    def run_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """``schedule(0.0, fn, *args)``, run inline when nothing else is
+        due at the current instant.
+
+        Call it only as the last act of an event callback (or of a
+        chain of such tail calls). With the run queue empty and the heap
+        head later than ``now``, the hand-off would be the next event
+        dispatched, so running it now changes no order. Nested inside
+        another inline call it queues: a burst of zero-cost hand-offs
+        costs one event per two, never one stack frame per hand-off.
+        """
+        queue = self._queue
+        if (
+            not self._may_inline
+            or self._runq
+            or (queue and queue[0][0] == self.now)
+        ):
+            self.schedule(0.0, fn, *args)
+            return
+        self._may_inline = False
+        try:
+            fn(*args)
+        finally:
+            self._may_inline = True
 
     def push_many(
         self,
@@ -171,14 +233,15 @@ class Scheduler:
             self._cancelled >= self.COMPACT_FLOOR
             and self._cancelled > (len(self._queue) + len(self._runq)) // 2
         ):
-            self._queue = [
-                entry for entry in self._queue if not entry[2].cancelled
-            ]
-            heapq.heapify(self._queue)
-            if self._runq:
-                self._runq = deque(
-                    entry for entry in self._runq if not entry[1].cancelled
-                )
+            # In place: a running dispatch loop holds these containers.
+            queue = self._queue
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapq.heapify(queue)
+            runq = self._runq
+            if runq:
+                live = [entry for entry in runq if not entry[1].cancelled]
+                runq.clear()
+                runq.extend(live)
             self._cancelled = 0
 
     def peek_time(self) -> SimTime:

@@ -19,6 +19,10 @@ from .clock import SimTime
 from .events import Event, Scheduler
 from .network import Message, Network
 
+#: ``_timers`` is swept for cancelled timers once it outgrows this, and
+#: after that whenever it doubles, so the sweep is O(1) amortized.
+_TIMERS_PRUNE_FLOOR = 64
+
 
 class SimNode:
     """A network-attached actor with serial message processing."""
@@ -39,7 +43,10 @@ class SimNode:
         self._processing = False
         self.cpu_time: SimTime = 0.0
         self.dropped_messages = 0
-        self._timers: list[Event] = []
+        # Pending timers only (insertion-ordered): a timer leaves when it
+        # fires, and cancelled ones are pruned as the dict grows.
+        self._timers: dict[Event, None] = {}
+        self._timers_prune_at = _TIMERS_PRUNE_FLOOR
         self._deferred_cost: SimTime = 0.0
         network.register(self)
 
@@ -68,7 +75,9 @@ class SimNode:
         self.inbox.append(message)
         if not self._processing:
             self._processing = True
-            self.scheduler.schedule(0.0, self._process_next)
+            # The network calls deliver() as the last act of its
+            # delivery event, so the hand-off may run inline.
+            self.scheduler.run_soon(self._process_next)
 
     def _process_next(self) -> None:
         if self.crashed or not self.inbox:
@@ -93,7 +102,10 @@ class SimNode:
         if extra > 0:
             self.consume_cpu(extra)
         if self.inbox and not self.crashed:
-            self.scheduler.schedule(extra, self._process_next)
+            if extra > 0:
+                self.scheduler.schedule(extra, self._process_next)
+            else:
+                self.scheduler.run_soon(self._process_next)
         else:
             if extra > 0:
                 self.scheduler.schedule(extra, self._resume_after_busy)
@@ -124,13 +136,37 @@ class SimNode:
     # ------------------------------------------------------------------
     def set_timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a callback that is suppressed if the node has crashed."""
+        return self._track(self.scheduler.schedule, delay, fn, args)
+
+    def reserve_timer(self, delay: SimTime) -> tuple[SimTime, int]:
+        """Claim the slot ``set_timer(delay, ...)`` would take now; see
+        :meth:`Scheduler.reserve`."""
+        return self.scheduler.reserve(delay)
+
+    def set_timer_at(
+        self, slot: tuple[SimTime, int], fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """``set_timer`` under a slot claimed earlier by
+        :meth:`reserve_timer`: same crash suppression, and the callback
+        fires exactly where a timer set at the claim would have."""
+        return self._track(self.scheduler.schedule_reserved, slot, fn, args)
+
+    def _track(self, schedule, when, fn, args) -> Event:
+        """``schedule(when, ...)`` a wrapper of ``fn(*args)`` that is
+        suppressed on a crashed node and leaves ``_timers`` as it fires."""
+        timers = self._timers
 
         def fire() -> None:
+            del timers[event]
             if not self.crashed:
                 fn(*args)
 
-        event = self.scheduler.schedule(delay, fire)
-        self._timers.append(event)
+        event = schedule(when, fire)
+        timers[event] = None
+        if len(timers) > self._timers_prune_at:
+            for timer in [t for t in timers if t.cancelled]:
+                del timers[timer]
+            self._timers_prune_at = max(_TIMERS_PRUNE_FLOOR, 2 * len(timers))
         return event
 
     # ------------------------------------------------------------------

@@ -188,3 +188,122 @@ def test_mass_cancellation_compacts_heap_and_keeps_order():
     sched.run()
     assert fired == keepers
     assert sched.pending() == 0
+
+
+def test_compaction_during_a_run_keeps_later_events():
+    """Tombstones compacted mid-run: events scheduled afterwards still
+    fire, in order, and the live count stays exact."""
+    sched = Scheduler()
+    fired = []
+    doomed = [sched.schedule(2.0 + i / 1000, fired.append, i) for i in range(200)]
+
+    def cancel_most():
+        for event in doomed[:150]:
+            event.cancel()
+        sched.schedule(0.5, fired.append, "late")
+
+    sched.schedule(1.0, cancel_most)
+    sched.run()
+    assert fired == ["late"] + list(range(150, 200))
+    assert sched.pending() == 0
+
+
+# ---------------------------------------------------------------------------
+# run_soon: a 0.0 hand-off run inline when it would be dispatched next
+# ---------------------------------------------------------------------------
+def _tail_call(sched, log, before=None):
+    """An event whose last act is run_soon(log.append, "soon")."""
+
+    def event():
+        if before is not None:
+            before()
+        log.append("event")
+        sched.run_soon(log.append, "soon")
+        log.append("returned")
+
+    return event
+
+
+def test_run_soon_runs_inline_when_nothing_else_is_due():
+    sched = Scheduler()
+    log = []
+    sched.schedule(1.0, _tail_call(sched, log))
+    sched.schedule(2.0, log.append, "later")
+    sched.run()
+    assert log == ["event", "soon", "returned", "later"]
+    assert sched.events_processed == 2
+
+
+def test_run_soon_queues_behind_the_run_queue():
+    sched = Scheduler()
+    log = []
+
+    def queued():
+        sched.schedule(0.0, log.append, "queued")
+
+    sched.schedule(1.0, _tail_call(sched, log, before=queued))
+    sched.run()
+    assert log == ["event", "returned", "queued", "soon"]
+    assert sched.events_processed == 3
+
+
+def test_run_soon_queues_behind_a_heap_entry_at_now():
+    sched = Scheduler()
+    log = []
+    sched.schedule(1.0, _tail_call(sched, log))
+    sched.schedule(1.0, log.append, "tie")
+    sched.run()
+    assert log == ["event", "returned", "tie", "soon"]
+
+
+def test_run_soon_nested_inline_call_queues():
+    sched = Scheduler()
+    log = []
+
+    def hop(n):
+        log.append(n)
+        if n < 4:
+            sched.run_soon(hop, n + 1)
+
+    sched.schedule(1.0, hop, 0)
+    sched.run()
+    assert log == [0, 1, 2, 3, 4]
+    # Every other hop ran inline: 0 (event) -> 1 inline -> 2 queued ...
+    assert sched.events_processed == 3
+
+
+def test_reserved_slot_sorts_where_it_was_claimed():
+    """A callback queued under a reserved key fires where a timer set at
+    the claim would have, ahead of later same-instant events."""
+    sched = Scheduler()
+    log = []
+    slot = sched.reserve(2.0)
+    sched.schedule(2.0, log.append, "scheduled-after-claim")
+    sched.schedule(1.0, lambda: sched.schedule_reserved(slot, log.append, "reserved"))
+    sched.run()
+    assert slot == (2.0, 1)
+    assert log == ["reserved", "scheduled-after-claim"]
+
+
+def test_reserved_slot_at_now_precedes_the_run_queue():
+    sched = Scheduler()
+    log = []
+    slot = sched.reserve(1.0)
+
+    def at_one():
+        sched.schedule(0.0, log.append, "queued")
+        sched.schedule_reserved(slot, log.append, "reserved")
+
+    sched.schedule(1.0, at_one)
+    sched.run()
+    assert log == ["reserved", "queued"]
+
+
+def test_reserve_rejects_the_past():
+    sched = Scheduler()
+    with pytest.raises(SimulationError):
+        sched.reserve(-1.0)
+    slot = sched.reserve(0.5)
+    sched.run_until(1.0)
+    with pytest.raises(SimulationError):
+        sched.schedule_reserved(slot, lambda: None)

@@ -135,3 +135,57 @@ def test_recover_allows_new_work():
     sender.send("dst", "m", "after")
     sched.run()
     assert node.handled[0][1] == "after"
+
+
+def test_fired_timers_leave_the_node():
+    sched, net, sender, node = build()
+    fired = []
+    for i in range(5):
+        node.set_timer(float(i + 1), fired.append, i)
+    pending = node.set_timer(10.0, fired.append, "pending")
+    sched.run_until(6.0)
+    assert fired == [0, 1, 2, 3, 4]
+    assert list(node._timers) == [pending]
+    node.crash()
+    sched.run()
+    assert fired == [0, 1, 2, 3, 4]
+    assert pending.cancelled
+    assert not node._timers
+
+
+def test_cancelled_timers_are_pruned():
+    sched, net, sender, node = build()
+    for _ in range(1000):
+        node.set_timer(5.0, lambda: None).cancel()
+    assert len(node._timers) < 200
+
+
+def test_pbft_replicas_hold_only_pending_timers():
+    """Fired batch ticks, watchdog slots and sync retries leave the
+    replica: after a run only its pending timers remain."""
+    from repro.core import Driver, DriverConfig
+    from repro.platforms import build_cluster
+    from repro.workloads import make_workload
+
+    cluster = build_cluster("hyperledger", 4, seed=3)
+    driver = Driver(
+        cluster,
+        make_workload("ycsb"),
+        DriverConfig(n_clients=2, request_rate_tx_s=40, duration_s=10.0),
+    )
+    driver.run(extra_drain_s=0.0)
+    assert cluster.chain_height() > 0
+    for node in cluster.nodes:
+        assert len(node._timers) <= 4, (node.node_id, len(node._timers))
+    cluster.close()
+
+
+def test_zero_cost_burst_at_one_instant_does_not_recurse():
+    """10,000 zero-cost messages landing at one instant: the inline
+    hand-off must not nest one stack frame per message."""
+    sched, net, sender, node = build(cost=0.0)
+    for i in range(10_000):
+        sender.send("dst", "m", i)
+    sched.run()
+    assert [payload for _, payload in node.handled] == list(range(10_000))
+    assert len({t for t, _ in node.handled}) == 1
